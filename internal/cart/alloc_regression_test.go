@@ -49,6 +49,34 @@ func measureAlltoallAllocs(t *testing.T, algo Algorithm, m int) testing.Benchmar
 	})
 }
 
+// checkAllocsFlat asserts that the allocation count per op does not grow
+// with the block size: growing m 32-fold may not double the allocs/op.
+// Counts are exact per-op averages (setup amortized in), and growth within
+// one allocation per op is noise, not scaling — with an allocation-free
+// point-to-point core the steady state is a fraction of one alloc/op.
+func checkAllocsFlat(t *testing.T, small, large testing.BenchmarkResult) {
+	t.Helper()
+	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.MemAllocs) / float64(r.N) }
+	sa, la := perOp(small), perOp(large)
+	t.Logf("m=16: %.2f allocs/op %d B/op; m=512: %.2f allocs/op %d B/op",
+		sa, small.AllocedBytesPerOp(), la, large.AllocedBytesPerOp())
+	if small.MemAllocs == 0 {
+		t.Fatal("benchmark measured zero allocations (world setup allocates); harness broken")
+	}
+	if la > sa*2 && la-sa > 1 {
+		t.Errorf("allocs/op scaled with block size: m=16 -> %.2f, m=512 -> %.2f (> 2x)", sa, la)
+	}
+	// Payload bytes grow 32x; pooled wires and zero-copy payloads must keep
+	// allocated bytes far below proportional growth. Not under the race
+	// detector, whose sync.Pool drops entries at random: every dropped wire
+	// is re-made at full block size, so bytes then track the pool's drop
+	// rate, not the runtime.
+	sb, lb := small.AllocedBytesPerOp(), large.AllocedBytesPerOp()
+	if !raceBuild && sb > 0 && lb > sb*16 {
+		t.Errorf("B/op scaled near-linearly with block size: m=16 -> %d, m=512 -> %d", sb, lb)
+	}
+}
+
 // TestAlltoallAllocsSizeIndependent is the PR's allocation regression
 // gate: with the zero-copy fast path and pooled wire buffers, the number
 // of heap allocations per collective must not scale with the block size —
@@ -65,21 +93,7 @@ func TestAlltoallAllocsSizeIndependent(t *testing.T) {
 		t.Run(algoName(algo), func(t *testing.T) {
 			small := measureAlltoallAllocs(t, algo, 16)
 			large := measureAlltoallAllocs(t, algo, 512)
-			sa, la := small.AllocsPerOp(), large.AllocsPerOp()
-			t.Logf("m=16: %d allocs/op %d B/op; m=512: %d allocs/op %d B/op",
-				sa, small.AllocedBytesPerOp(), la, large.AllocedBytesPerOp())
-			if sa == 0 {
-				t.Fatal("benchmark measured zero allocations; harness broken")
-			}
-			if la > sa*2 {
-				t.Errorf("allocs/op scaled with block size: m=16 -> %d, m=512 -> %d (> 2x)", sa, la)
-			}
-			// Payload bytes grow 32x; pooled wires and zero-copy payloads
-			// must keep allocated bytes far below proportional growth.
-			sb, lb := small.AllocedBytesPerOp(), large.AllocedBytesPerOp()
-			if sb > 0 && lb > sb*16 {
-				t.Errorf("B/op scaled near-linearly with block size: m=16 -> %d, m=512 -> %d", sb, lb)
-			}
+			checkAllocsFlat(t, small, large)
 		})
 	}
 }
@@ -135,19 +149,7 @@ func TestAllgatherAllocsSizeIndependent(t *testing.T) {
 		t.Run(algoName(algo), func(t *testing.T) {
 			small := measureAllgatherAllocs(t, algo, 16)
 			large := measureAllgatherAllocs(t, algo, 512)
-			sa, la := small.AllocsPerOp(), large.AllocsPerOp()
-			t.Logf("m=16: %d allocs/op %d B/op; m=512: %d allocs/op %d B/op",
-				sa, small.AllocedBytesPerOp(), la, large.AllocedBytesPerOp())
-			if sa == 0 {
-				t.Fatal("benchmark measured zero allocations; harness broken")
-			}
-			if la > sa*2 {
-				t.Errorf("allocs/op scaled with block size: m=16 -> %d, m=512 -> %d (> 2x)", sa, la)
-			}
-			sb, lb := small.AllocedBytesPerOp(), large.AllocedBytesPerOp()
-			if sb > 0 && lb > sb*16 {
-				t.Errorf("B/op scaled near-linearly with block size: m=16 -> %d, m=512 -> %d", sb, lb)
-			}
+			checkAllocsFlat(t, small, large)
 		})
 	}
 }

@@ -392,7 +392,7 @@ func (e *asyncExec[T]) finish() {
 // leafTail retires the coalesced leaf receives in flat (phase-major)
 // order, preserving WAW order among deferred leaf scatters — the
 // synchronous executor's bulk tail. Every leaf has completed (the gate
-// reached zero), so no Wait blocks beyond an in-flight ready handoff.
+// reached zero), so no Wait blocks beyond an in-flight completion handoff.
 func (e *asyncExec[T]) leafTail() error {
 	p, st := e.p, e.st
 	for i := range p.flat {
@@ -515,6 +515,7 @@ func Start[T any](p *Plan, send, recv []T) (*Future, error) {
 	if ex == nil {
 		ex = &asyncExec[T]{}
 		ex.bufs = make([][]T, 3)
+		ex.scat = compileScatters(p, ex.bufs)
 		scr.exec = ex
 	}
 	ex.f, ex.scr, ex.recv = f, scr, recv

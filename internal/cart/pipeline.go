@@ -56,8 +56,12 @@ type pipeState struct {
 	// they skip the WaitSet — no per-message wakeup — and are waited in
 	// bulk after the live rounds have driven the DAG dry, like the
 	// barriered executor's Waitall tail.
-	leaf  []bool
-	reqs  []*mpi.Request
+	leaf []bool
+	// reqs holds each round's receive request: executor-owned memory the
+	// runtime posts into (mpi.PostRecv), so a re-execution allocates no
+	// requests. Every posted request is completed (Wait or Cancel) before
+	// the execution ends, which is what lets the next one re-post it.
+	reqs  []mpi.Request
 	stack []int32 // ready-to-post send work stack
 	// postNs stamps each round's receive-post wall time when a metrics
 	// registry is attached, feeding the cart.retire.ns latency histogram.
@@ -83,7 +87,7 @@ func newPipeState(p *Plan, withWS bool) *pipeState {
 		sendPosted: make([]bool, n),
 		recvPosted: make([]bool, n),
 		leaf:       make([]bool, n),
-		reqs:       make([]*mpi.Request, n),
+		reqs:       make([]mpi.Request, n),
 		postNs:     make([]int64, n),
 		stack:      make([]int32, 0, n),
 	}
@@ -125,8 +129,52 @@ func (st *pipeState) reset(p *Plan) {
 		st.retired[i] = false
 		st.sendPosted[i] = false
 		st.recvPosted[i] = false
-		st.reqs[i] = nil
 	}
+}
+
+// runScratch is a plan's element-typed scratch for synchronous Runs: the
+// (send, recv, temp) buffer array, the receive scatters compiled over that
+// array, the executor shell, and the receive requests of the barriered
+// and blocking executors (the pipelined one keeps its own in pipeState).
+// Allocated on the first Run with an element type; later Runs only swap
+// the user buffers into bufs, so re-execution allocates nothing.
+type runScratch[T any] struct {
+	bufs [][]T
+	scat []*mpi.CompositeScatter[T]
+	exec pipeExec[T]
+	reqs []mpi.Request
+}
+
+// runScratchFor returns p's scratch for element type T, (re)building it
+// when the plan last ran with another type.
+func runScratchFor[T any](p *Plan) *runScratch[T] {
+	if rs, ok := p.run.(*runScratch[T]); ok {
+		return rs
+	}
+	rs := &runScratch[T]{bufs: make([][]T, 3)}
+	if p.tempLen > 0 {
+		rs.bufs[2] = make([]T, p.tempLen)
+	}
+	rs.scat = compileScatters(p, rs.bufs)
+	if p.blocking || p.barriered {
+		rs.reqs = make([]mpi.Request, len(p.flat))
+	}
+	p.run = rs
+	return rs
+}
+
+// compileScatters builds one receive scatter per round of p, reading
+// through bufs (nil for rounds without a receive). A scatter holds the
+// buffer array, not the buffers, so executions that swap buffers into
+// bufs reuse it.
+func compileScatters[T any](p *Plan, bufs [][]T) []*mpi.CompositeScatter[T] {
+	scat := make([]*mpi.CompositeScatter[T], len(p.flat))
+	for i, r := range p.flat {
+		if r.recvFrom != ProcNull {
+			scat[i] = mpi.NewCompositeScatter(bufs, &r.recv)
+		}
+	}
+	return scat
 }
 
 // pipeExec is one execution's live state over a pipeState. The
@@ -141,6 +189,7 @@ type pipeExec[T any] struct {
 	p         *Plan
 	st        *pipeState
 	bufs      [][]T
+	scat      []*mpi.CompositeScatter[T] // per-round receive scatters over bufs
 	comm      *mpi.Comm
 	ws        *mpi.WaitSet        // completion set receives attach to (synchronous runs)
 	sink      *mpi.CompletionSink // engine completion sink (async runs; takes precedence)
@@ -165,15 +214,21 @@ type pipeExec[T any] struct {
 	remSend  int
 }
 
-// runPipelined executes the plan's rounds in dependency order. bufs is the
-// (send, recv, temp) buffer array; local copies are the caller's job (they
-// run after every round has retired, as in the barriered executor).
-func runPipelined[T any](p *Plan, bufs [][]T) error {
+// syncExec rearms rs's executor shell for one synchronous execution.
+func (rs *runScratch[T]) syncExec(p *Plan, st *pipeState, remLive int) *pipeExec[T] {
+	rs.exec = pipeExec[T]{p: p, st: st, bufs: rs.bufs, scat: rs.scat, comm: p.comm.comm, ws: st.ws, remRecv: st.nRecvs, remLive: remLive, remSend: st.nSends}
+	return &rs.exec
+}
+
+// runPipelined executes the plan's rounds in dependency order over rs's
+// buffer array; local copies are the caller's job (they run after every
+// round has retired, as in the barriered executor).
+func runPipelined[T any](p *Plan, rs *runScratch[T]) error {
 	st := p.pipeScratch()
 	n := len(p.flat)
 	st.ws.Reset()
 	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, bufs: bufs, comm: p.comm.comm, ws: st.ws, remRecv: st.nRecvs, remLive: st.nLive, remSend: st.nSends}
+	e := rs.syncExec(p, st, st.nLive)
 
 	// Receives first (window depth), then every barrier-free send.
 	if err := e.fillWindow(); err != nil {
@@ -212,7 +267,7 @@ func runPipelined[T any](p *Plan, bufs [][]T) error {
 		return err
 	}
 	if e.remSend > 0 {
-		return fmt.Errorf("cart: internal: pipelined executor finished live receives with %d send(s) unposted", e.remSend)
+		return e.abortDrain(fmt.Errorf("cart: internal: pipelined executor finished live receives with %d send(s) unposted", e.remSend))
 	}
 	// Bulk tail: every live round has retired, so all scatter gates of the
 	// remaining leaf receives have fired; wait them in flat (phase-major)
@@ -262,11 +317,10 @@ func (e *pipeExec[T]) fillWindow() error {
 			continue
 		}
 		st.deferred[i] = st.scatLeft[i] > 0
-		req, err := mpi.IrecvComposite(e.comm, e.bufs, &r.recv, r.recvFrom, r.tag+e.tagOff, st.deferred[i])
-		if err != nil {
+		req := &st.reqs[i]
+		if err := mpi.PostRecv(req, e.comm, e.scat[i], r.recvFrom, r.tag+e.tagOff, st.deferred[i]); err != nil {
 			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, r.recvWhat, err))
 		}
-		st.reqs[i] = req
 		st.recvPosted[i] = true
 		e.nextPost++
 		e.logRound(p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
@@ -395,11 +449,11 @@ func (e *pipeExec[T]) tryRetire(i int32) error {
 // gates are same-or-earlier-phase sends, whose RAW producers are receives
 // of strictly earlier phases (already retired) — so its scatter gates are
 // always clear, the invariant the internal-error guard below asserts.
-func runPipelinedModel[T any](p *Plan, bufs [][]T) error {
+func runPipelinedModel[T any](p *Plan, rs *runScratch[T]) error {
 	st := p.pipeScratch()
 	n := len(p.flat)
 	st.reset(p)
-	e := &pipeExec[T]{p: p, st: st, bufs: bufs, comm: p.comm.comm, ws: st.ws, remRecv: st.nRecvs, remLive: st.nRecvs, remSend: st.nSends}
+	e := rs.syncExec(p, st, st.nRecvs)
 
 	// Post every receive upfront (posting is free on the virtual clock and
 	// keeps the match-time-consume path hitting), then every barrier-free
@@ -410,11 +464,9 @@ func runPipelinedModel[T any](p *Plan, bufs [][]T) error {
 			continue
 		}
 		st.deferred[i] = st.scatLeft[i] > 0
-		req, err := mpi.IrecvComposite(e.comm, e.bufs, &r.recv, r.recvFrom, r.tag, st.deferred[i])
-		if err != nil {
+		if err := mpi.PostRecv(&st.reqs[i], e.comm, e.scat[i], r.recvFrom, r.tag, st.deferred[i]); err != nil {
 			return e.abortDrain(p.phaseError(p.deps[i].phase, p.deps[i].idx, r.recvWhat, err))
 		}
-		st.reqs[i] = req
 		st.recvPosted[i] = true
 		e.logRound(p.deps[i].phase, p.deps[i].idx, r.recvFrom, trace.RoundRecvPost)
 		p.countRecvPost()
@@ -446,7 +498,7 @@ func runPipelinedModel[T any](p *Plan, bufs [][]T) error {
 		}
 	}
 	if e.remSend > 0 {
-		return fmt.Errorf("cart: internal: pipelined executor finished receives with %d send(s) unposted", e.remSend)
+		return e.abortDrain(fmt.Errorf("cart: internal: pipelined executor finished receives with %d send(s) unposted", e.remSend))
 	}
 	return nil
 }

@@ -333,7 +333,9 @@ type Plan struct {
 	volume   int
 	sendLen  int // required send buffer length in elements (0 = unchecked)
 	recvLen  int // required recv buffer length in elements
-	temp     any // cached temporary buffer ([]T of the last element type)
+	// run is the element-typed execution scratch of synchronous Runs
+	// (*runScratch[T] of the last element type; pipeline.go).
+	run any
 
 	// deferScatter, per phase, requests Wait-time (receiver-side) scatter
 	// from the runtime: set when a phase's receive-target extents overlap
@@ -585,16 +587,21 @@ func Run[T any](p *Plan, send, recv []T) error {
 		// so logged re-executions stay allocation-free).
 		p.rlog.Reset()
 	}
-	var temp []T
-	if p.tempLen > 0 {
-		if cached, ok := p.temp.([]T); ok && len(cached) >= p.tempLen {
-			temp = cached
-		} else {
-			temp = make([]T, p.tempLen)
-			p.temp = temp
-		}
-	}
-	bufs := [][]T{send, recv, temp}
+	rs := runScratchFor[T](p)
+	rs.bufs[0], rs.bufs[1] = send, recv
+	err := execute(p, rs, recv)
+	// Drop the user buffers so the plan does not pin them between runs.
+	// Every receive of this execution has completed by now — the executors
+	// drain before returning, errors included. A panic (an injected crash
+	// ending the rank) skips this on purpose: receives the dead rank left
+	// posted may still be scattered into through the array.
+	rs.bufs[0], rs.bufs[1] = nil, nil
+	return err
+}
+
+// execute runs one execution of p over the buffers placed in rs.
+func execute[T any](p *Plan, rs *runScratch[T], recv []T) error {
+	bufs := rs.bufs
 	comm := p.comm.comm
 
 	if !p.blocking && !p.barriered {
@@ -602,7 +609,7 @@ func Run[T any](p *Plan, send, recv []T) error {
 		if comm.Model() != nil {
 			run = runPipelinedModel[T]
 		}
-		if err := run(p, bufs); err != nil {
+		if err := run(p, rs); err != nil {
 			return err
 		}
 		for _, cp := range p.copies {
@@ -612,11 +619,14 @@ func Run[T any](p *Plan, send, recv []T) error {
 		return nil
 	}
 
+	fi := 0 // flat index of the phase's first round
 	for pi, rounds := range p.phases {
+		base := fi
+		fi += len(rounds)
 		if p.blocking {
 			for ri := range rounds {
 				r := &rounds[ri]
-				if err := runRoundBlocking(comm, r, bufs, p.deferScatter[pi]); err != nil {
+				if err := runRoundBlocking(comm, r, rs, base+ri, p.deferScatter[pi]); err != nil {
 					return p.roundError(pi, ri, r, err)
 				}
 				if r.recvFrom != ProcNull {
@@ -631,28 +641,33 @@ func Run[T any](p *Plan, send, recv []T) error {
 		}
 		// Post every round of the phase nonblockingly, remembering what each
 		// request is so a failure can be attributed to its round and peer.
+		// A posting failure stops the posting; the drain below still
+		// completes everything already posted.
+		var firstErr error
 		pends := p.pends[:0]
 		for ri := range rounds {
 			r := &rounds[ri]
 			if r.recvFrom == ProcNull {
 				continue
 			}
-			req, err := mpi.IrecvComposite(comm, bufs, &r.recv, r.recvFrom, r.tag, p.deferScatter[pi])
-			if err != nil {
-				return p.phaseError(pi, ri, r.recvWhat, err)
+			req := &rs.reqs[base+ri]
+			if err := mpi.PostRecv(req, comm, rs.scat[base+ri], r.recvFrom, r.tag, p.deferScatter[pi]); err != nil {
+				firstErr = p.phaseError(pi, ri, r.recvWhat, err)
+				break
 			}
 			p.logRound(pi, ri, r.recvFrom, trace.RoundRecvPost)
 			p.countRecvPost()
 			pends = append(pends, pendReq{req, r.recvWhat, ri, true})
 		}
-		for ri := range rounds {
+		for ri := 0; ri < len(rounds) && firstErr == nil; ri++ {
 			r := &rounds[ri]
 			if r.sendTo == ProcNull {
 				continue
 			}
 			req, err := mpi.IsendComposite(comm, bufs, &r.send, r.sendTo, r.tag)
 			if err != nil {
-				return p.phaseError(pi, ri, r.sendWhat, err)
+				firstErr = p.phaseError(pi, ri, r.sendWhat, err)
+				break
 			}
 			p.logRound(pi, ri, r.sendTo, trace.RoundSendPost)
 			p.countSend(r)
@@ -663,7 +678,6 @@ func Run[T any](p *Plan, send, recv []T) error {
 		// never come (a dead peer, a revoked context) and the schedule is
 		// abandoned anyway; receives that already hold a message (or poison)
 		// are not cancellable and complete immediately.
-		var firstErr error
 		for _, q := range pends {
 			if firstErr != nil && q.req.Cancel() {
 				continue
@@ -675,11 +689,6 @@ func Run[T any](p *Plan, send, recv []T) error {
 			} else if q.recv {
 				p.countRetire()
 			}
-		}
-		// Return the scratch with dropped request pointers so a plan kept
-		// across executions does not pin the previous run's requests.
-		for i := range pends {
-			pends[i].req = nil
 		}
 		p.pends = pends[:0]
 		if firstErr != nil {
@@ -717,20 +726,20 @@ func (p *Plan) roundError(phase, round int, r *execRound, err error) error {
 		p.op, p.algo, phase+1, len(p.phases), round, r.sendTo, r.recvFrom, err)
 }
 
-// runRoundBlocking performs one round as a blocking exchange, handling
-// ProcNull on either side (mesh boundaries).
-func runRoundBlocking[T any](comm *mpi.Comm, r *execRound, bufs [][]T, deferScatter bool) error {
+// runRoundBlocking performs flat round fi as a blocking exchange over the
+// run scratch, handling ProcNull on either side (mesh boundaries).
+func runRoundBlocking[T any](comm *mpi.Comm, r *execRound, rs *runScratch[T], fi int, deferScatter bool) error {
 	var rreq, sreq *mpi.Request
-	var err error
 	if r.recvFrom != ProcNull {
-		rreq, err = mpi.IrecvComposite(comm, bufs, &r.recv, r.recvFrom, r.tag, deferScatter)
-		if err != nil {
+		rreq = &rs.reqs[fi]
+		if err := mpi.PostRecv(rreq, comm, rs.scat[fi], r.recvFrom, r.tag, deferScatter); err != nil {
 			return err
 		}
 	}
 	if r.sendTo != ProcNull {
-		sreq, err = mpi.IsendComposite(comm, bufs, &r.send, r.sendTo, r.tag)
-		if err != nil {
+		var err error
+		if sreq, err = mpi.IsendComposite(comm, rs.bufs, &r.send, r.sendTo, r.tag); err != nil {
+			rreq.Free()
 			return err
 		}
 	}

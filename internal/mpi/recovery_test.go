@@ -15,12 +15,23 @@ import (
 // recovery paths: however a message leaves the mailbox (consumed, drained,
 // discarded as stale or duplicate), the wire must go back exactly once.
 func countingMsg(ctx, epoch int64, src, tag int, released *int) *message {
-	return &message{
-		ctx: ctx, epoch: epoch, src: src, tag: tag,
-		payload: []int{1}, elems: 1, bytes: 8,
-		release: func(*World, *message) { *released++ },
-	}
+	m := testMsg(ctx, epoch, src, tag, []int{1})
+	m.release = func(*World, *message) { *released++ }
+	return m
 }
+
+// testMsg builds a hand-delivered message carrying payload.
+func testMsg[T any](ctx, epoch int64, src, tag int, payload []T) *message {
+	m := &message{ctx: ctx, epoch: epoch, src: src, tag: tag}
+	setPayload(m, payload, elemTypeOf[T]())
+	m.bytes = len(payload) * int(m.ptype.size)
+	return m
+}
+
+// scatterFunc adapts a function to RecvScatter for hand-posted receives.
+type scatterFunc func(*message) error
+
+func (f scatterFunc) scatter(m *message) error { return f(m) }
 
 // TestDrainBelowEpochReleasesOnce: drainBelowEpoch must return every stale
 // unexpected message's pooled wire exactly once, leave newer-epoch messages
@@ -99,10 +110,10 @@ func TestDuplicateDropReleasesOnce(t *testing.T) {
 	m1.srcWorld, m1.sseq = 0, 1
 	box.deliver(m1)
 
-	got := make(chan *message, 1)
-	box.post(&pendingRecv{ctx: 1, src: 0, tag: 7, srcWorld: 0, ready: got})
-	if m := <-got; m.fail != nil {
-		t.Fatalf("original message failed: %v", m.fail)
+	got := &pendingRecv{ctx: 1, src: 0, tag: 7, srcWorld: 0}
+	box.post(got)
+	if !got.done() || got.fail != nil {
+		t.Fatalf("original message not delivered (done=%v fail=%v)", got.done(), got.fail)
 	}
 	if orig != 1 {
 		t.Fatalf("original released %d times; want exactly 1", orig)
@@ -139,27 +150,23 @@ func TestDuplicateDropReleasesOnce(t *testing.T) {
 // shadow plane stay posted — recovery retries depend on them.
 func TestDrainPoisonsStaleReceives(t *testing.T) {
 	box := &mailbox{}
-	stale := &pendingRecv{ctx: 1, epoch: 0, src: 0, tag: 7, srcWorld: 0, ready: make(chan *message, 1)}
-	ft := &pendingRecv{ctx: ftCtxBit | 1, epoch: 0, src: 0, tag: agreeTag, srcWorld: 0, ready: make(chan *message, 1)}
+	stale := &pendingRecv{ctx: 1, epoch: 0, src: 0, tag: 7, srcWorld: 0}
+	ft := &pendingRecv{ctx: ftCtxBit | 1, epoch: 0, src: 0, tag: agreeTag, srcWorld: 0}
 	box.post(stale)
 	box.post(ft)
 
 	box.drainBelowEpoch(1)
-	select {
-	case m := <-stale.ready:
-		if m.fail == nil || !errors.Is(m.fail, ErrCancelled) {
-			t.Fatalf("stale receive failed with %v, want ErrCancelled", m.fail)
-		}
-		if m.payload != nil || m.release != nil {
-			t.Fatal("poison message carries a payload or release hook")
-		}
-	default:
+	if !stale.done() {
 		t.Fatal("stale-epoch receive was not poisoned by the drain")
 	}
-	select {
-	case m := <-ft.ready:
-		t.Fatalf("ft-plane receive was poisoned: %v", m.fail)
-	default:
+	if stale.fail == nil || !errors.Is(stale.fail, ErrCancelled) {
+		t.Fatalf("stale receive failed with %v, want ErrCancelled", stale.fail)
+	}
+	if stale.held.m != nil {
+		t.Fatal("poisoned receive holds a message")
+	}
+	if ft.done() {
+		t.Fatalf("ft-plane receive was poisoned: %v", ft.fail)
 	}
 }
 

@@ -30,14 +30,49 @@ const (
 // when a matching message has arrived — the scatter into the user buffer
 // runs at match time (mailbox.finish) and Wait surfaces its result;
 // aggregate requests complete when all children have.
+//
+// A receive request embeds its pending receive, so the handle is the only
+// memory a receive needs. Irecv and friends allocate a fresh request per
+// operation; PostRecv instead re-posts a request the caller owns (a
+// schedule executor's plan scratch), which makes re-executing a plan free
+// of heap allocations. A request's memory is reused only when its
+// previous operation is complete, and every reuse advances the embedded
+// receive's generation (see WaitSet) — a request re-posted while its
+// receive is still in flight panics instead of aliasing the old
+// operation.
 type Request struct {
 	kind     reqKind
 	c        *Comm
-	pending  *pendingRecv
+	recv     pendingRecv
 	children []*Request
 	finished bool
 	status   Status
 	err      error
+}
+
+// reuseRecv resets r for a new receive on c.
+func (r *Request) reuseRecv(c *Comm) {
+	if r == sentRequest {
+		panic("mpi: the shared completed-send request cannot be re-posted")
+	}
+	if r.c != nil && !r.finished {
+		panic("mpi: request re-posted while its previous operation is still in flight")
+	}
+	r.kind, r.c, r.children, r.finished, r.status, r.err = reqRecv, c, nil, false, Status{}, nil
+	r.recv.reset()
+}
+
+// reset clears a pending receive for re-posting and advances its
+// generation.
+func (p *pendingRecv) reset() {
+	p.ctx, p.epoch, p.src, p.tag, p.srcWorld, p.seq = 0, 0, 0, 0, 0, 0
+	p.consume, p.deferConsume = nil, false
+	p.state.Store(0)
+	p.waker = nil
+	p.st, p.nbytes, p.arrive, p.consumeErr, p.fail, p.held = Status{}, 0, 0, nil, nil, msgRef{}
+	p.postNs = 0
+	p.notify, p.notifyIdx, p.notifyGate = nil, 0, nil
+	p.gen++
 }
 
 // Wait blocks until the operation completes and returns its status. Waiting
@@ -55,48 +90,7 @@ func (r *Request) Wait() (Status, error) {
 	case reqSend:
 		// Sends are buffered: complete at post time.
 	case reqRecv:
-		m, err := r.awaitMessage()
-		if err != nil {
-			r.err = err
-			break
-		}
-		rs := r.c.rs
-		if met := rs.met; met != nil {
-			met.recvsDone.Inc()
-			met.recvBytes.Add(int64(m.bytes))
-		}
-		if fl := r.c.w.flight; fl != nil {
-			fl.Record(rs.rank, trace.FlightRecvDone, r.c.worldRank(m.src), int64(m.tag), int64(m.bytes), fl.Now()-r.pending.postNs)
-		}
-		if model := r.c.w.model; model != nil {
-			start := rs.clock
-			if m.arrive > rs.clock {
-				rs.clock = m.arrive
-			}
-			rs.clock += model.RecvOverhead
-			if rec := r.c.w.rec; rec != nil {
-				rec.Add(trace.Event{
-					Rank: rs.rank, Kind: trace.KindRecv, Peer: r.c.worldRank(m.src),
-					Bytes: m.bytes, Tag: m.tag, Start: start, End: rs.clock,
-				})
-			}
-		}
-		r.status = Status{Source: m.src, Tag: m.tag, Count: m.elems}
-		if r.pending.deferConsume {
-			// Deferred scatter: unpack here in the receiver's goroutine,
-			// then return the pooled wire; finish already detached any
-			// zero-copy payload.
-			if r.pending.consume != nil {
-				r.err = r.pending.consume(m)
-			}
-			if rel := m.release; rel != nil {
-				m.release = nil
-				rel(r.c.w, m)
-			}
-			m.payload = nil
-		} else {
-			r.err = m.consumeErr
-		}
+		r.err = r.waitRecv()
 	case reqAggregate:
 		for _, ch := range r.children {
 			if _, err := ch.Wait(); err != nil && r.err == nil {
@@ -108,82 +102,123 @@ func (r *Request) Wait() (Status, error) {
 	return r.status, r.err
 }
 
-// awaitMessage blocks on the pending receive with abort and fallback-timer
-// handling. The wait is registered with the deadlock monitor (watchdog.go)
-// so a run that can no longer progress is diagnosed in milliseconds.
-func (r *Request) awaitMessage() (*message, error) {
+// waitRecv completes a receive request: it waits for the match, accounts
+// the completion, and runs a deferred scatter.
+func (r *Request) waitRecv() error {
+	if err := r.awaitRecv(); err != nil {
+		return err
+	}
+	p := &r.recv
+	if p.fail != nil {
+		return p.fail
+	}
+	rs := r.c.rs
+	if met := rs.met; met != nil {
+		met.recvsDone.Inc()
+		met.recvBytes.Add(int64(p.nbytes))
+	}
+	if fl := r.c.w.flight; fl != nil {
+		now := fl.Now()
+		fl.RecordAt(rs.rank, now, trace.FlightRecvDone, r.c.worldRank(p.st.Source), int64(p.st.Tag), int64(p.nbytes), now-p.postNs)
+	}
+	if model := r.c.w.model; model != nil {
+		start := rs.clock
+		if p.arrive > rs.clock {
+			rs.clock = p.arrive
+		}
+		rs.clock += model.RecvOverhead
+		if rec := r.c.w.rec; rec != nil {
+			rec.Add(trace.Event{
+				Rank: rs.rank, Kind: trace.KindRecv, Peer: r.c.worldRank(p.st.Source),
+				Bytes: p.nbytes, Tag: p.st.Tag, Start: start, End: rs.clock,
+			})
+		}
+	}
+	r.status = p.st
+	if !p.deferConsume {
+		return p.consumeErr
+	}
+	// Deferred scatter: unpack here in the receiver's goroutine, then
+	// return the pooled wire and the message; finish already detached any
+	// zero-copy payload.
+	m := p.held.get()
+	p.held = msgRef{}
+	var err error
+	if p.consume != nil {
+		err = p.consume.scatter(m)
+	}
+	rs.box.consumed(m)
+	return err
+}
+
+// awaitRecv blocks on the pending receive with abort and fallback-timer
+// handling; a nil return means the receive's outcome is published. The
+// wait is registered with the deadlock monitor (watchdog.go) so a run
+// that can no longer progress is diagnosed in milliseconds.
+func (r *Request) awaitRecv() error {
+	p := &r.recv
+	// Fast path: the outcome is already published — no watchdog
+	// registration, no timer, no waker.
+	s := p.state.Load()
+	if s&recvDone != 0 {
+		return nil
+	}
+	if s&recvClaimed != 0 {
+		// A matcher has claimed this receive and is between claiming and
+		// publishing: the completion is imminent (straight-line code in
+		// the matcher), so park on it without watchdog registration or
+		// the rank's shared fallback timer. This is the path a progress
+		// engine takes after a completion notification — the notification
+		// is posted before the outcome is published — and it must not
+		// touch rank-goroutine-owned wait state, which may be in use
+		// concurrently. (A successful explicit Cancel also claims, but it
+		// finishes the request first, so Wait never reaches here for it.)
+		p.awaitDone()
+		return nil
+	}
 	w := r.c.w
 	rs := r.c.rs
-	// Fast path: the message (or poison) is already handed over — no
-	// watchdog registration, no timer.
-	select {
-	case m := <-r.pending.ready:
-		if m.fail != nil {
-			return nil, m.fail
-		}
-		return m, nil
-	default:
-	}
-	if r.pending.delivered.Load() {
-		// A matcher has claimed this receive and is between setting
-		// delivered and the ready handoff: the handoff is imminent
-		// (straight-line code in the matcher), so block on it without
-		// watchdog registration or the rank's shared fallback timer. This
-		// is the path a progress engine takes after a completion
-		// notification — the notification is posted before the ready send —
-		// and it must not touch rank-goroutine-owned wait state, which may
-		// be in use concurrently. (A successful explicit Cancel also sets
-		// delivered, but it finishes the request first, so Wait never
-		// reaches here for it.)
-		m := <-r.pending.ready
-		if m.fail != nil {
-			return nil, m.fail
-		}
-		return m, nil
-	}
 	if met := rs.met; met != nil {
-		// Past the fast path: this wait will block. The closure allocates,
-		// but only on the instrumented slow path — the metrics-off and
-		// already-completed paths stay allocation-free.
+		// Past the fast path: this wait will block.
 		met.waitBlocks.Inc()
 		t0 := time.Now()
 		defer func() { met.waitBlockedNs.Add(time.Since(t0).Nanoseconds()) }()
 	}
 	if w.monitoring {
-		w.setBlocked(rs.rank, &blockedOp{
-			kind:      "recv",
-			src:       r.pending.src,
-			tag:       r.pending.tag,
-			ctx:       r.pending.ctx,
-			since:     time.Now(),
-			pendings:  []*pendingRecv{r.pending},
-			srcWorlds: []int{r.pending.srcWorld},
-		})
+		w.blockRecv(rs.rank, p)
 		defer w.clearBlocked(rs.rank)
 	}
-	timeoutCh := rs.armTimeout()
-	defer rs.disarmTimeout()
+	wk := p.park()
+	if wk == nil {
+		return nil
+	}
+	// The fallback timer comes from the park-timer pool, not from rank
+	// state: goroutines of one rank (a helper, a progress engine) may
+	// block in receives at the same time.
+	var timeoutCh <-chan time.Time
+	if d := w.timeout; d > 0 {
+		t := getParkTimer(d)
+		defer putParkTimer(t)
+		timeoutCh = t.C
+	}
 	select {
-	case m := <-r.pending.ready:
-		if m.fail != nil {
-			return nil, m.fail
-		}
-		return m, nil
+	case <-wk.ch:
+		p.unpark(wk)
+		return nil
 	case <-w.abort:
 		// Withdraw the receive before giving up: if cancel fails, a match
 		// is complete or in flight — a sender may be scattering into our
-		// buffer and a pooled wire is bound to this receive — so drain the
-		// imminent handoff instead of abandoning it. This also prefers a
-		// message (or typed poison) that raced with the abort over the
-		// generic cascade error.
-		removed, n, idx := rs.box.cancel(r.pending)
+		// buffer and a pooled wire is bound to this receive — so wait out
+		// the imminent completion instead of abandoning it. This also
+		// prefers a message (or typed poison) that raced with the abort
+		// over the generic cascade error.
+		removed, n, idx := rs.box.cancel(p)
 		if !removed {
-			m := <-r.pending.ready
-			if m.fail != nil {
-				return nil, m.fail
-			}
-			return m, nil
+			<-wk.ch
+			p.unpark(wk)
+			return nil
 		}
+		p.unpark(wk) // removed: no completion will signal
 		if n != nil {
 			n.post(idx)
 		}
@@ -192,27 +227,26 @@ func (r *Request) awaitMessage() (*message, error) {
 			// reports why the run died (e.g. a RankFailedError a peer can
 			// type-switch on), still marked ErrAborted so error aggregation
 			// files it as cascade, never masking the primary.
-			return nil, fmt.Errorf("mpi: rank %d: %w while receiving (src=%d tag=%d): %w", r.c.rank, ErrAborted, r.pending.src, r.pending.tag, cause)
+			return fmt.Errorf("mpi: rank %d: %w while receiving (src=%d tag=%d): %w", r.c.rank, ErrAborted, p.src, p.tag, cause)
 		}
-		return nil, fmt.Errorf("mpi: rank %d: %w while receiving (src=%d tag=%d)", r.c.rank, ErrAborted, r.pending.src, r.pending.tag)
+		return fmt.Errorf("mpi: rank %d: %w while receiving (src=%d tag=%d)", r.c.rank, ErrAborted, p.src, p.tag)
 	case <-timeoutCh:
-		removed, n, idx := rs.box.cancel(r.pending)
+		removed, n, idx := rs.box.cancel(p)
 		if !removed {
 			// The message arrived as the timer fired: deliver it rather
 			// than declaring a false deadlock.
-			m := <-r.pending.ready
-			if m.fail != nil {
-				return nil, m.fail
-			}
-			return m, nil
+			<-wk.ch
+			p.unpark(wk)
+			return nil
 		}
+		p.unpark(wk)
 		if n != nil {
 			n.post(idx)
 		}
 		err := fmt.Errorf("mpi: rank %d: deadlock suspected: receive (src=%d tag=%d ctx=%d) blocked for %v",
-			r.c.rank, r.pending.src, r.pending.tag, r.pending.ctx, w.timeout)
+			r.c.rank, p.src, p.tag, p.ctx, w.timeout)
 		w.fail(err)
-		return nil, err
+		return err
 	}
 }
 
@@ -224,10 +258,10 @@ func (r *Request) awaitMessage() (*message, error) {
 // Schedule executors call this when the buffer hazards that forced the
 // deferral have cleared while the receive is still in flight.
 func (r *Request) UndeferConsume() bool {
-	if r == nil || r.finished || r.kind != reqRecv || !r.pending.deferConsume {
+	if r == nil || r.finished || r.kind != reqRecv || !r.recv.deferConsume {
 		return false
 	}
-	return r.c.rs.box.undefer(r.pending)
+	return r.c.rs.box.undefer(&r.recv)
 }
 
 // Cancel removes a still-unmatched receive request from its rank's
@@ -246,12 +280,12 @@ func (r *Request) Cancel() bool {
 	}
 	switch r.kind {
 	case reqRecv:
-		removed, n, idx := r.c.rs.box.cancel(r.pending)
+		removed, n, idx := r.c.rs.box.cancel(&r.recv)
 		if !removed {
 			return false
 		}
 		r.finished = true
-		r.err = fmt.Errorf("mpi: %w (src=%d tag=%d)", ErrCancelled, r.pending.src, r.pending.tag)
+		r.err = fmt.Errorf("mpi: %w (src=%d tag=%d)", ErrCancelled, r.recv.src, r.recv.tag)
 		// Post to any attached WaitSet only now: the sink post publishes the
 		// finished/err writes above to the set's owner, so a Cancel from a
 		// helper goroutine cannot race the owner's Wait after Waitsome wakes.
@@ -322,9 +356,10 @@ func (r *Request) Free() {
 	}
 }
 
-// Test reports whether the operation has completed, without blocking; when
-// it has, the status and error are as Wait would return them. Mirrors
-// MPI_Test for receive requests.
+// Test reports whether the operation has completed, without blocking on
+// the network (a receive already matched may wait out its imminent
+// completion); when it has, the status and error are as Wait would return
+// them. Mirrors MPI_Test for receive requests.
 func (r *Request) Test() (done bool, st Status, err error) {
 	if r.finished {
 		return true, r.status, r.err
@@ -334,16 +369,15 @@ func (r *Request) Test() (done bool, st Status, err error) {
 		st, err = r.Wait()
 		return true, st, err
 	case reqRecv:
-		select {
-		case m := <-r.pending.ready:
-			// Hand the message back through the buffered channel and let
-			// Wait perform clock accounting and the scatter.
-			r.pending.ready <- m
-			st, err = r.Wait()
-			return true, st, err
-		default:
+		if !r.recv.claimed() {
 			return false, Status{}, nil
 		}
+		// Matched (or poisoned): the outcome is published or imminent —
+		// its completion notification may already have been delivered —
+		// so let Wait take it, with clock accounting and any deferred
+		// scatter.
+		st, err = r.Wait()
+		return true, st, err
 	case reqAggregate:
 		for _, ch := range r.children {
 			if done, _, _ := ch.Test(); !done {
@@ -428,8 +462,8 @@ func pendingRecvs(reqs []*Request) ([]*pendingRecv, []int) {
 		}
 		switch r.kind {
 		case reqRecv:
-			pends = append(pends, r.pending)
-			srcs = append(srcs, r.pending.srcWorld)
+			pends = append(pends, &r.recv)
+			srcs = append(srcs, r.recv.srcWorld)
 		case reqAggregate:
 			for _, ch := range r.children {
 				walk(ch)

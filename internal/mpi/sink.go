@@ -18,7 +18,7 @@ import (
 // it.
 //
 // Tokens must be non-negative. A receive added to the sink posts its token
-// the moment a message or poison is matched (before the ready handoff);
+// the moment a message or poison is matched (before the completion is published);
 // a request that cannot notify (send, finished, already matched) posts
 // immediately. Cancellation counts as completion. Consumers drain with
 // TryDrain and park with Park/ParkOr; the wake channel is a level trigger
@@ -103,7 +103,7 @@ func (s *CompletionSink) Add(r *Request, token int) {
 	}
 	switch r.kind {
 	case reqRecv:
-		if !r.c.rs.box.attachNotify(r.pending, s.sink, token) {
+		if !r.c.rs.box.attachNotify(&r.recv, s.sink, token) {
 			s.sink.post(token)
 		}
 	case reqAggregate:
@@ -115,7 +115,7 @@ func (s *CompletionSink) Add(r *Request, token int) {
 			}
 			switch req.kind {
 			case reqRecv:
-				if req.c.rs.box.attachNotify(req.pending, s.sink, token) {
+				if req.c.rs.box.attachNotify(&req.recv, s.sink, token) {
 					attached = true
 				}
 			case reqAggregate:
@@ -154,7 +154,7 @@ func (s *CompletionSink) AddGated(r *Request, token int, gate *atomic.Int32) {
 	switch r.kind {
 	case reqRecv:
 		gate.Add(1)
-		if !r.c.rs.box.attachNotifyGated(r.pending, s.sink, token, gate) {
+		if !r.c.rs.box.attachNotifyGated(&r.recv, s.sink, token, gate) {
 			if gate.Add(-1) == 0 {
 				s.sink.post(token)
 			}

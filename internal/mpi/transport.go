@@ -66,8 +66,10 @@ type Transport interface {
 	// sender's per-rank send lock; implementations must preserve the
 	// per-sender frame order end to end. The payload must be read (or
 	// encoded) before Send returns — it may alias the sender's user
-	// buffer, and the alias dies with the posting call. On error the
-	// message has not been delivered and the caller reclaims its buffers.
+	// buffer, and the alias dies with the posting call. On success the
+	// transport owns m: it hands it to a mailbox or recycles it
+	// (freeMessage) once encoded. On error the message has not been
+	// delivered and the caller reclaims its buffers and the message.
 	Send(dst int, m *message) error
 	// InFlight reports messages accepted by Send, destined to a rank
 	// hosted in this process, and not yet handed to its mailbox — frames

@@ -232,20 +232,15 @@ func (t *netTransport) Drain() {
 // wire-encodable element type) without copying, plus its element id. The
 // view aliases the payload and must be consumed before the posting call
 // returns.
-func payloadView(p any) (b []byte, id wire.ElemID, err error) {
-	v := reflect.ValueOf(p)
-	if v.Kind() != reflect.Slice {
-		return nil, 0, fmt.Errorf("%w: payload %T is not a slice", wire.ErrBadElemType, p)
+func payloadView(m *message) (b []byte, id wire.ElemID, err error) {
+	if m.ptype == nil {
+		return nil, 0, fmt.Errorf("%w: message carries no payload", wire.ErrBadElemType)
 	}
-	id, err = wire.ElemIDOf(v.Type().Elem())
+	id, err = wire.ElemIDOf(m.ptype.rt)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := v.Len() * int(v.Type().Elem().Size())
-	if n == 0 {
-		return nil, id, nil
-	}
-	return unsafe.Slice((*byte)(v.UnsafePointer()), n), id, nil
+	return payloadBytes(m), id, nil
 }
 
 // Send implements Transport. It encodes the message into a pooled frame
@@ -278,7 +273,7 @@ func (t *netTransport) Send(dst int, m *message) error {
 		m.release = nil
 		rel(t.w, m)
 	}
-	m.payload = nil
+	m.pay, m.pcap = nil, 0
 	selfLoop := t.rankProc[dst] == t.cfg.Self
 	if selfLoop {
 		t.inflight.Add(1)
@@ -289,12 +284,13 @@ func (t *netTransport) Send(dst int, m *message) error {
 		}
 		return err
 	}
+	freeMessage(m)
 	return nil
 }
 
 // encodeData encodes message m for world rank dst into a pooled buffer.
 func (t *netTransport) encodeData(dst int, m *message) (*[]byte, error) {
-	payload, elem, err := payloadView(m.payload)
+	payload, elem, err := payloadView(m)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +359,6 @@ func (t *netTransport) sendHandoff(dst int, m *message) error {
 			m.release = nil
 			rel(t.w, m)
 		}
-		m.payload = nil
 		return err
 	}
 	var tokbuf [binary.MaxVarintLen64]byte
@@ -711,23 +706,19 @@ func (t *netTransport) deliverFrame(h wire.Header, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	v, _ := getWireReflect(t.w, et, h.Elems)
+	ed := elemTypeFor(et)
+	p, c, _ := t.w.getWireRaw(ed, h.Elems)
+	if p == nil {
+		p = reflect.MakeSlice(reflect.SliceOf(et), c, c).UnsafePointer()
+	}
 	if h.PayloadLen > 0 {
-		dst := unsafe.Slice((*byte)(v.UnsafePointer()), h.PayloadLen)
-		copy(dst, payload)
+		copy(unsafe.Slice((*byte)(p), h.PayloadLen), payload)
 	}
-	m := &message{
-		ctx:      h.Ctx,
-		epoch:    h.Epoch,
-		src:      h.Src,
-		tag:      h.Tag,
-		payload:  v.Interface(),
-		elems:    h.Elems,
-		bytes:    h.PayloadLen,
-		srcWorld: h.SrcWorld,
-		sseq:     h.Sseq,
-		release:  releaseWireAny,
-	}
+	m := newMessage()
+	m.ctx, m.epoch, m.src, m.tag = h.Ctx, h.Epoch, h.Src, h.Tag
+	m.pay, m.pcap, m.ptype, m.elems = p, c, ed, h.Elems
+	m.bytes, m.srcWorld, m.sseq = h.PayloadLen, h.SrcWorld, h.Sseq
+	m.release = releaseWire
 	t.w.ranks[h.Dst].box.deliver(m)
 	if t.rankProc[h.SrcWorld] == t.cfg.Self {
 		t.inflight.Add(-1) // self-loop frame delivered

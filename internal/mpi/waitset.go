@@ -45,7 +45,7 @@ func (s *notifySink) post(tok int) {
 // Waitsome-style progress without polling. Receives added to the set attach
 // a notification slot to their pending receive (mailbox.attachNotify); the
 // moment a message or poison is matched, the matcher posts the slot to the
-// set's sink — before the ready handoff — so Waitsome blocks on a single
+// set's sink — before the completion is published — so Waitsome blocks on a single
 // wake channel and wakes exactly when something completed. Requests that
 // cannot notify (sends, which complete at post; finished requests; receives
 // whose match already happened) are reported ready on the next Waitsome
@@ -76,6 +76,7 @@ type WaitSet struct {
 	// Notifications carry positions into this slice; freePos recycles
 	// consumed positions so the slice stays bounded by the in-flight count.
 	pends     []*pendingRecv
+	pendGen   []uint32
 	pendOwner []int
 	pendSrc   []int
 	freePos   []int
@@ -103,9 +104,9 @@ type WaitSet struct {
 	// defense.
 	monitored bool
 
-	// timer is the set's own fallback-watchdog timer. The per-rank
-	// blockTimer cannot be shared here: an engine's Waitsome may block
-	// concurrently with the rank goroutine's own blocking wait.
+	// timer is the set's own fallback-watchdog timer: an engine's
+	// Waitsome may block concurrently with the rank goroutine's own
+	// blocking wait, so no per-rank timer can serve it.
 	timer *time.Timer
 }
 
@@ -155,7 +156,9 @@ func (s *WaitSet) Reset() {
 	case <-s.sink.wake:
 	default:
 	}
+	clear(s.pends)
 	s.pends = s.pends[:0]
+	s.pendGen = s.pendGen[:0]
 	s.pendOwner = s.pendOwner[:0]
 	s.pendSrc = s.pendSrc[:0]
 	s.freePos = s.freePos[:0]
@@ -181,7 +184,11 @@ func (s *WaitSet) Add(r *Request, owner int) {
 	case reqRecv:
 		s.attach(r, owner)
 	case reqAggregate:
-		attached := false
+		// Every unfinished child receive reports the owner once: attach
+		// either arms its notification or, for a child already matched,
+		// queues the owner as ready itself. Only an aggregate with no such
+		// child reports here.
+		reported := false
 		var walk func(req *Request)
 		walk = func(req *Request) {
 			if req == nil || req.finished {
@@ -189,9 +196,8 @@ func (s *WaitSet) Add(r *Request, owner int) {
 			}
 			switch req.kind {
 			case reqRecv:
-				if s.attach(req, owner) {
-					attached = true
-				}
+				s.attach(req, owner)
+				reported = true
 			case reqAggregate:
 				for _, ch := range req.children {
 					walk(ch)
@@ -199,7 +205,7 @@ func (s *WaitSet) Add(r *Request, owner int) {
 			}
 		}
 		walk(r)
-		if !attached {
+		if !reported {
 			s.readyNow = append(s.readyNow, owner)
 		}
 	default:
@@ -219,26 +225,35 @@ func (s *WaitSet) attach(r *Request, owner int) bool {
 	} else {
 		pos = len(s.pends)
 	}
-	if !r.c.rs.box.attachNotify(r.pending, s.sink, pos) {
+	p := &r.recv
+	if !r.c.rs.box.attachNotify(p, s.sink, pos) {
 		s.readyNow = append(s.readyNow, owner)
 		return false
 	}
 	if pos < len(s.pends) {
 		s.freePos = s.freePos[:len(s.freePos)-1]
-		s.pends[pos] = r.pending
+		s.pends[pos] = p
+		s.pendGen[pos] = p.gen
 		s.pendOwner[pos] = owner
-		s.pendSrc[pos] = r.pending.srcWorld
+		s.pendSrc[pos] = p.srcWorld
 	} else {
-		s.pends = append(s.pends, r.pending)
+		s.pends = append(s.pends, p)
+		s.pendGen = append(s.pendGen, p.gen)
 		s.pendOwner = append(s.pendOwner, owner)
-		s.pendSrc = append(s.pendSrc, r.pending.srcWorld)
+		s.pendSrc = append(s.pendSrc, p.srcWorld)
 	}
 	s.outstanding++
 	return true
 }
 
-// take consumes one notification, freeing its position for reuse.
+// take consumes one notification, freeing its position for reuse. The
+// receive's request must still hold the operation that was added: one
+// re-posted in the meantime (its generation moved on) would report a
+// completion that belongs to a different operation.
 func (s *WaitSet) take(pos int) {
+	if p := s.pends[pos]; p == nil || p.gen != s.pendGen[pos] {
+		panic("mpi: WaitSet completion for a request that was re-posted while still in the set")
+	}
 	s.pends[pos] = nil
 	s.freePos = append(s.freePos, pos)
 	s.outstanding--
@@ -317,24 +332,7 @@ func (s *WaitSet) Waitsome() ([]int, error) {
 		defer func() { met.waitBlockedNs.Add(time.Since(t0).Nanoseconds()) }()
 	}
 	if w.monitoring && s.monitored && s.outstanding > 0 {
-		// Fresh slices per registration: the deadlock monitor reads the
-		// blockedOp snapshot concurrently, possibly after this rank has
-		// moved on to the next Waitsome, so the backing arrays must not be
-		// reused.
-		watchPends := make([]*pendingRecv, 0, s.outstanding)
-		watchSrcs := make([]int, 0, s.outstanding)
-		for i, p := range s.pends {
-			if p != nil {
-				watchPends = append(watchPends, p)
-				watchSrcs = append(watchSrcs, s.pendSrc[i])
-			}
-		}
-		w.setBlocked(rs.rank, &blockedOp{
-			kind:      "waitsome",
-			since:     time.Now(),
-			pendings:  watchPends,
-			srcWorlds: watchSrcs,
-		})
+		w.blockWaitsome(rs.rank, s.pends, s.pendSrc)
 		defer w.clearBlocked(rs.rank)
 	}
 	// Arm the fallback deadlock timer only when receives are outstanding: a

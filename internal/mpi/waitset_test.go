@@ -120,7 +120,7 @@ func TestWaitSetAddAfterMatch(t *testing.T) {
 		// Wait until the match has happened (delivered flag set by the
 		// matcher) before attaching.
 		deadline := time.Now().Add(5 * time.Second)
-		for !req.pending.delivered.Load() {
+		for !req.recv.claimed() {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("message never matched")
 			}
@@ -186,6 +186,17 @@ func TestWaitSetAggregate(t *testing.T) {
 			if done, _, err := agg.Test(); done {
 				if err != nil {
 					return err
+				}
+				// A child can complete between the drain above and the
+				// Test; its notification is queued by then (posted before
+				// the completion is published), so collect it before
+				// counting.
+				for s.Outstanding() > 0 {
+					more, err := s.Waitsome()
+					if err != nil {
+						return err
+					}
+					wakes += len(more)
 				}
 				if wakes != 2 {
 					return fmt.Errorf("aggregate owner signaled %d times, want 2", wakes)
@@ -336,7 +347,7 @@ func TestWaitSetCancelAfterAttachWakesWaitsome(t *testing.T) {
 		go func() {
 			deadline := time.Now().Add(5 * time.Second)
 			for time.Now().Before(deadline) {
-				if op := c.w.blocked[0].Load(); op != nil && op.kind == "waitsome" {
+				if op := c.w.viewBlocked(0); op.on && op.kind == "waitsome" {
 					break
 				}
 				time.Sleep(time.Millisecond)

@@ -92,7 +92,7 @@ type World struct {
 	// again; when false (DeadlockPoll < 0) no monitor goroutine reads the
 	// registry and blocking waits skip registration entirely.
 	monitoring bool
-	blocked    []atomic.Pointer[blockedOp]
+	blocked    []blockedSlot
 	done       []atomic.Bool
 	// dlInFlight/dlInFlightSince remember the monitor's last transport
 	// InFlight() observation (monitor goroutine only, no locking): a
@@ -190,37 +190,9 @@ type rankState struct {
 	delayCount []int  // per-MsgDelay matching-message counters
 	dropCount  []int  // per-MsgDrop matching-message counters
 	dupCount   []int  // per-MsgDup matching-message counters
-	// blockTimer is the rank's reusable fallback-watchdog timer, armed for
-	// each blocking wait (one at a time per goroutine) instead of
-	// allocating a fresh timer per block.
-	blockTimer *time.Timer
 	// met holds the rank's resolved metric pointers; nil when the run was
 	// configured without metrics (the instrumentation-off fast path).
 	met *mpiMetrics
-}
-
-// armTimeout returns the fallback-watchdog timer channel for one blocking
-// wait, reusing the rank's timer (nil when the timeout is disabled). The
-// rank's goroutine owns the timer; Go 1.23 timer semantics make
-// Reset-after-fire safe without draining.
-func (rs *rankState) armTimeout() <-chan time.Time {
-	d := rs.world.timeout
-	if d <= 0 {
-		return nil
-	}
-	if rs.blockTimer == nil {
-		rs.blockTimer = time.NewTimer(d)
-	} else {
-		rs.blockTimer.Reset(d)
-	}
-	return rs.blockTimer.C
-}
-
-// disarmTimeout stops the rank's watchdog timer after a blocking wait.
-func (rs *rankState) disarmTimeout() {
-	if rs.blockTimer != nil {
-		rs.blockTimer.Stop()
-	}
 }
 
 // Run spawns cfg.Procs ranks, calls f on each with its world communicator,
@@ -306,7 +278,7 @@ func runWorld(cfg Config, t Transport, localRank []bool, f func(c *Comm) error) 
 		w.timeout = DefaultTimeout
 	}
 	w.ranks = make([]*rankState, cfg.Procs)
-	w.blocked = make([]atomic.Pointer[blockedOp], cfg.Procs)
+	w.blocked = make([]blockedSlot, cfg.Procs)
 	w.done = make([]atomic.Bool, cfg.Procs)
 	for r := range w.ranks {
 		w.ranks[r] = &rankState{

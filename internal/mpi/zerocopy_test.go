@@ -209,23 +209,19 @@ func TestWildcardExactArbitration(t *testing.T) {
 func TestPoisonedReceiveNeverDoubleRelease(t *testing.T) {
 	box := &mailbox{}
 	released := 0
-	m := &message{
-		ctx: 1, src: 0, tag: 7,
-		payload: []int{1, 2, 3}, elems: 3, bytes: 24,
-		release: func(*World, *message) { released++ },
-	}
+	m := testMsg(1, 0, 0, 7, []int{1, 2, 3})
+	m.release = func(*World, *message) { released++ }
 
-	r1 := &pendingRecv{ctx: 1, src: 0, tag: 7, srcWorld: 0, ready: make(chan *message, 1)}
+	r1 := &pendingRecv{ctx: 1, src: 0, tag: 7, srcWorld: 0}
 	box.post(r1)
 	box.poisonMatching(func(p *pendingRecv) error {
 		return errors.New("peer died")
 	})
-	poison := <-r1.ready
-	if poison.fail == nil {
-		t.Fatal("poisoned receive did not get a failure message")
+	if !r1.done() || r1.fail == nil {
+		t.Fatal("poisoned receive did not complete with a failure")
 	}
-	if poison.payload != nil || poison.release != nil {
-		t.Fatal("poison message carries a payload or release hook")
+	if r1.held.m != nil {
+		t.Fatal("poisoned receive holds a message")
 	}
 	if released != 0 {
 		t.Fatalf("release ran %d times before any message was consumed", released)
@@ -238,27 +234,32 @@ func TestPoisonedReceiveNeverDoubleRelease(t *testing.T) {
 		t.Fatalf("release ran %d times while the message sat unexpected", released)
 	}
 
-	// A later receive consumes it: release runs exactly once.
-	r2 := &pendingRecv{ctx: 1, src: 0, tag: 7, srcWorld: 0, ready: make(chan *message, 1)}
+	// A later receive consumes it: release runs exactly once, and the
+	// message goes back to the pool.
+	r2 := &pendingRecv{ctx: 1, src: 0, tag: 7, srcWorld: 0}
 	box.post(r2)
-	got := <-r2.ready
-	if got.fail != nil {
-		t.Fatalf("second receive failed: %v", got.fail)
+	if !r2.done() || r2.fail != nil {
+		t.Fatalf("second receive failed: %v", r2.fail)
 	}
 	if released != 1 {
 		t.Fatalf("release ran %d times; want exactly 1", released)
 	}
-	if got.release != nil {
-		t.Fatal("release hook not cleared after the match")
+	if !m.free {
+		t.Fatal("consumed message was not recycled")
 	}
 
-	// Waiting paths (request.go) re-release only via m.release, which is
-	// nil now: simulate the deferred-consume epilogue and re-check.
-	if rel := got.release; rel != nil {
-		rel(nil, got)
-	}
+	// Consuming it again — the double release the hook protocol rules
+	// out — must fail loudly, never re-run the hook.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("second release of a recycled message did not panic")
+			}
+		}()
+		box.consumed(m)
+	}()
 	if released != 1 {
-		t.Fatalf("release ran %d times after epilogue; want exactly 1", released)
+		t.Fatalf("release ran %d times after the double release; want exactly 1", released)
 	}
 }
 
@@ -269,15 +270,14 @@ func TestDetachResolvesZeroCopyAlias(t *testing.T) {
 	box := &mailbox{}
 	user := []int{10, 20, 30}
 	detached := 0
-	m := &message{
-		ctx: 1, src: 0, tag: 9,
-		payload: user, elems: 3, bytes: 24,
-		detach: func(_ *World, m *message) {
-			detached++
-			wire := make([]int, len(user))
-			copy(wire, m.payload.([]int))
-			m.payload = wire
-		},
+	et := elemTypeOf[int]()
+	m := testMsg(1, 0, 0, 9, user)
+	m.detach = func(_ *World, m *message) {
+		detached++
+		src, _ := payloadAs[int](m, et)
+		wire := make([]int, len(src))
+		copy(wire, src)
+		setPayload(m, wire, et)
 	}
 	box.deliver(m)
 	if detached != 1 {
@@ -285,16 +285,16 @@ func TestDetachResolvesZeroCopyAlias(t *testing.T) {
 	}
 	// Sender reuses its buffer; the queued payload must be unaffected.
 	user[0], user[1], user[2] = -1, -1, -1
-	r := &pendingRecv{ctx: 1, src: 0, tag: 9, srcWorld: 0, ready: make(chan *message, 1)}
+	r := &pendingRecv{ctx: 1, src: 0, tag: 9, srcWorld: 0}
 	var got []int
-	r.consume = func(m *message) error {
-		got = append([]int(nil), m.payload.([]int)...)
+	r.consume = scatterFunc(func(m *message) error {
+		p, _ := payloadAs[int](m, et)
+		got = append([]int(nil), p...)
 		return nil
-	}
+	})
 	box.post(r)
-	mm := <-r.ready
-	if mm.consumeErr != nil {
-		t.Fatal(mm.consumeErr)
+	if !r.done() || r.consumeErr != nil {
+		t.Fatal(r.consumeErr)
 	}
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("queued zero-copy payload corrupted by sender reuse: %v", got)
@@ -312,9 +312,9 @@ func TestWirePoolRecycles(t *testing.T) {
 	if pooled {
 		t.Fatal("first getWire from an empty pool reported a pool hit")
 	}
-	m := &message{payload: wire}
-	releaseWire[int32](w, m)
-	if m.payload != nil {
+	m := testMsg(0, 0, 0, 0, wire)
+	releaseWire(w, m)
+	if m.pay != nil {
 		t.Fatal("releaseWire did not clear the payload")
 	}
 	// Under the race detector sync.Pool drops Puts at random (by design,
@@ -323,7 +323,7 @@ func TestWirePoolRecycles(t *testing.T) {
 	// a recycle within a bounded number of round trips.
 	recycled := false
 	for i := 0; i < 100 && !recycled; i++ {
-		releaseWire[int32](w, &message{payload: wire})
+		releaseWire(w, testMsg(0, 0, 0, 0, wire))
 		again, hit := getWire[int32](w, 70)
 		if cap(again) != 128 {
 			t.Fatalf("wire cap %d; want 128", cap(again))
@@ -338,7 +338,7 @@ func TestWirePoolRecycles(t *testing.T) {
 	}
 	// Oversized and odd-capacity slices are never pooled.
 	big := make([]int32, 1<<wireMaxClass+1)
-	releaseWire[int32](w, &message{payload: big})
+	releaseWire(w, testMsg(0, 0, 0, 0, big))
 	odd := make([]int32, 100) // cap 100: not a power of two
-	releaseWire[int32](w, &message{payload: odd})
+	releaseWire(w, testMsg(0, 0, 0, 0, odd))
 }
