@@ -320,6 +320,13 @@ func (c *Comm) Recover(policy ReembedPolicy) (*Recovered, error) {
 		ok1 := 0
 		if serr == nil {
 			ok1 = 1
+		} else {
+			// SubsetComm is itself a collective on nc: a rank it failed
+			// on (a member died mid-broadcast) may have left peers
+			// blocked inside it that the agreement waits for. Poison
+			// them out; nc is abandoned anyway once ok1 is 0, and the
+			// revoke spares the fault-tolerance context Agree runs on.
+			nc.Revoke()
 		}
 		flag, aerr := nc.Agree(ok1)
 		if aerr != nil || flag != 1 {

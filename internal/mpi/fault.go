@@ -399,6 +399,12 @@ func (w *World) deadRanks() []int {
 }
 
 // revokeCtxs marks contexts revoked and poisons their pending receives.
+// Every caller walks the mailboxes, not only the first: a rank that
+// revokes and then finishes must not leave while an earlier revoker is
+// still mid-walk, or the deadlock monitor sees a peer blocked on a
+// finished rank whose receive is about to be poisoned (a false orphan
+// diagnosis). The walk is idempotent — a poisoned receive has left its
+// queue.
 func (w *World) revokeCtxs(ctxs ...int64) {
 	w.deadMu.Lock()
 	if w.revoked == nil {
@@ -415,9 +421,6 @@ func (w *World) revokeCtxs(ctxs ...int64) {
 		w.revokedN.Add(1)
 	}
 	w.deadMu.Unlock()
-	if !fresh {
-		return
-	}
 	for _, rs := range w.ranks {
 		rs.box.poisonMatching(func(p *pendingRecv) error {
 			for _, ctx := range ctxs {
