@@ -190,6 +190,38 @@ func TestRevoke(t *testing.T) {
 	}
 }
 
+// TestRevokeReturnsAfterPoisoning: Revoke returns only once every pending
+// receive on the communicator is poisoned, also when another revoker
+// marked it first. Here the first revoker is frozen between marking the
+// context and walking the mailboxes (the mark is set by hand); a second
+// Revoke must still poison the receive posted before the mark, or the
+// revoker could finish while a peer stays blocked on it.
+func TestRevokeReturnsAfterPoisoning(t *testing.T) {
+	run(t, 2, func(c *Comm) error {
+		if c.Rank() != 0 {
+			return nil
+		}
+		req, err := Irecv(c, make([]int, 1), contiguousN(1), 1, 5)
+		if err != nil {
+			return err
+		}
+		w := c.w
+		w.deadMu.Lock()
+		if w.revoked == nil {
+			w.revoked = make(map[int64]bool)
+		}
+		w.revoked[c.ctx], w.revoked[c.ctx^collCtxBit] = true, true
+		w.revokedN.Add(1)
+		w.deadMu.Unlock()
+		c.Revoke()
+		done, _, err := req.Test()
+		if !done || !errors.Is(err, ErrRevoked) {
+			return fmt.Errorf("receive after a second Revoke: done=%v err=%v, want ErrRevoked", done, err)
+		}
+		return nil
+	})
+}
+
 // TestAgree: with no failures Agree computes the bitwise AND across all
 // members.
 func TestAgree(t *testing.T) {

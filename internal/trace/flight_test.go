@@ -68,6 +68,15 @@ func TestFlightRecordAllocFree(t *testing.T) {
 	}
 }
 
+// BenchmarkFlightRecordAt is the per-event cost of the ring itself: one
+// writer, the clock read left to the caller as on the runtime's hot path.
+func BenchmarkFlightRecordAt(b *testing.B) {
+	fr := NewFlightRecorder(1, 2048)
+	for i := 0; i < b.N; i++ {
+		fr.RecordAt(0, int64(i), FlightRecvDone, 3, 1234, 512, 999)
+	}
+}
+
 func TestFlightConcurrentRecordAndTail(t *testing.T) {
 	fr := NewFlightRecorder(4, 32)
 	var wg sync.WaitGroup
